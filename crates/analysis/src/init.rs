@@ -111,6 +111,37 @@ pub fn find_bivalent_init_sym<P: ProcessAutomaton>(
     threads: usize,
     symmetry: SymmetryMode,
 ) -> Result<InitOutcome<P>, Truncated> {
+    let walk = walk_monotone_roots(sys, max_states, threads, symmetry, false, |_, _| {
+        None::<std::convert::Infallible>
+    })?;
+    Ok(walk.unwrap_or_else(|never| match never {}))
+}
+
+/// The Lemma 4 walk itself: builds the valence map of each monotone
+/// initialization `α_0, …, α_n` once, all on one shared
+/// [`PackedSystem`], shows each map to `scan`, and classifies its root.
+///
+/// `scan` runs on every map before its root is classified; the first
+/// `Some(b)` it returns stops the walk with `Err(b)`. With `full_sweep`
+/// the walk builds all `n + 1` maps even after the outcome is settled
+/// (so `scan` sees every initialization), keeping only the map of the
+/// first bivalent root; without it the walk stops at the first
+/// decisive root, as the proof does. The shared packed system — its
+/// effect cache and symmetry tables — is dropped before this returns;
+/// a returned map keeps only its own tables and the component arenas.
+///
+/// # Errors
+///
+/// Returns [`Truncated`] if some initialization's reachable space
+/// exceeds `max_states`.
+pub(crate) fn walk_monotone_roots<P: ProcessAutomaton, B>(
+    sys: &CompleteSystem<P>,
+    max_states: usize,
+    threads: usize,
+    symmetry: SymmetryMode,
+    full_sweep: bool,
+    mut scan: impl FnMut(&InputAssignment, &ValenceMap<P>) -> Option<B>,
+) -> Result<Result<InitOutcome<P>, B>, Truncated> {
     let n = sys.process_count();
     // A symmetry claim the auditor rejects is not trusted: the walk
     // degrades to concrete exploration (with a warning) instead.
@@ -121,45 +152,57 @@ pub fn find_bivalent_init_sym<P: ProcessAutomaton>(
     // transition-effect cache, the remaining n explorations run almost
     // entirely out of the cache.
     let packed = PackedSystem::with_symmetry(sys, symmetry);
+    let mut outcome: Option<InitOutcome<P>> = None;
     let mut valences: Vec<Valence> = Vec::with_capacity(n + 1);
     for ones in 0..=n {
+        if outcome.is_some() && !full_sweep {
+            break;
+        }
         let assignment = InputAssignment::monotone(n, ones);
         let root = initialize(sys, &assignment);
-        let map = ValenceMap::build_in(sys, &packed, root.clone(), max_states, threads)?;
-        let v = map.valence(&root);
-        match v {
-            Valence::Bivalent => {
-                return Ok(InitOutcome::Bivalent { assignment, map });
-            }
-            Valence::Undecided => {
-                return Ok(InitOutcome::Undecided { assignment });
-            }
+        let map = ValenceMap::build_in(sys, &packed, root, max_states, threads)?;
+        if let Some(stop) = scan(&assignment, &map) {
+            return Ok(Err(stop));
+        }
+        if outcome.is_some() {
+            continue;
+        }
+        match map.valence_id(map.root_id()) {
+            Valence::Bivalent => outcome = Some(InitOutcome::Bivalent { assignment, map }),
+            Valence::Undecided => outcome = Some(InitOutcome::Undecided { assignment }),
             univalent => {
                 // Validity sanity: α_0 must be 0-valent, α_n 1-valent.
                 if (ones == 0 && univalent != Valence::Zero)
                     || (ones == n && univalent != Valence::One)
                 {
-                    return Ok(InitOutcome::ValidityBroken {
+                    outcome = Some(InitOutcome::ValidityBroken {
                         assignment,
                         valence: univalent,
                     });
+                } else {
+                    valences.push(univalent);
                 }
-                valences.push(univalent);
             }
         }
     }
-    // All univalent: find the adjacent flip (must exist since the ends
-    // differ).
-    let flip = valences
-        .windows(2)
-        .position(|w| w[0] == Valence::Zero && w[1] == Valence::One)
-        .expect("α_0 is 0-valent and α_n is 1-valent, so a flip exists");
-    Ok(InitOutcome::AdjacentContradiction {
-        zero: InputAssignment::monotone(n, flip),
-        one: InputAssignment::monotone(n, flip + 1),
-        // monotone(n, ones) and monotone(n, ones+1) differ at index `ones`.
-        differing: ProcId(flip),
-    })
+    drop(packed);
+    if let Some(InitOutcome::Bivalent { map, .. }) = &mut outcome {
+        map.compact();
+    }
+    Ok(Ok(outcome.unwrap_or_else(|| {
+        // All univalent: find the adjacent flip (must exist since the
+        // ends differ).
+        let flip = valences
+            .windows(2)
+            .position(|w| w[0] == Valence::Zero && w[1] == Valence::One)
+            .expect("α_0 is 0-valent and α_n is 1-valent, so a flip exists");
+        InitOutcome::AdjacentContradiction {
+            zero: InputAssignment::monotone(n, flip),
+            one: InputAssignment::monotone(n, flip + 1),
+            // monotone(n, ones) and monotone(n, ones+1) differ at index `ones`.
+            differing: ProcId(flip),
+        }
+    })))
 }
 
 #[cfg(test)]

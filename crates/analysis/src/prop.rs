@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use system::build::{CompleteSystem, SystemState};
-use system::consensus::{check_safety, InputAssignment};
+use system::consensus::InputAssignment;
 use system::packed::{
     canonical_system_state_with, permute_system_state, permute_task, relabel_system_state,
 };
@@ -291,7 +291,7 @@ impl<P: ProcessAutomaton> PropGraph for SystemGraph<'_, P> {
         self.tasks.len()
     }
     fn task_applicable(&self, lane: usize, id: StateId) -> bool {
-        self.sys.applicable(&self.tasks[lane], self.map.resolve(id))
+        self.map.applicable(self.sys, &self.tasks[lane], id)
     }
 }
 
@@ -1396,7 +1396,7 @@ pub mod atoms {
     /// Some process has decided in this state.
     pub fn decided<'g, P: ProcessAutomaton>() -> SysAtom<'g, P> {
         Atom::new("decided", |g: &SystemGraph<'g, P>, id| {
-            !g.sys().decided_values(g.map().resolve(id)).is_empty()
+            g.map().own_decisions(id) != 0
         })
     }
 
@@ -1405,9 +1405,7 @@ pub mod atoms {
         Atom::new(
             format!("decided({v})"),
             move |g: &SystemGraph<'g, P>, id| {
-                g.sys()
-                    .decided_values(g.map().resolve(id))
-                    .contains(&Val::Int(v))
+                g.map().own_decisions(id) & g.map().lane_bit(&Val::Int(v)) != 0
             },
         )
     }
@@ -1416,31 +1414,35 @@ pub mod atoms {
     pub fn proc_decided<'g, P: ProcessAutomaton>(i: usize) -> SysAtom<'g, P> {
         Atom::new(
             format!("proc_decided({i})"),
-            move |g: &SystemGraph<'g, P>, id| {
-                g.sys().decision(g.map().resolve(id), ProcId(i)).is_some()
-            },
+            move |g: &SystemGraph<'g, P>, id| g.map().proc_decided(id, ProcId(i)),
         )
     }
 
     /// No agreement/validity violation at this state, under the given
-    /// input assignment (the stage-1 safety scan's predicate).
+    /// input assignment (the stage-1 safety scan's predicate): exactly
+    /// `check_safety(..).is_none()`, read off the decision lanes — at
+    /// most one distinct decided value, and every decided value among
+    /// the inputs.
     pub fn safe<'g, P: ProcessAutomaton>(assignment: InputAssignment) -> SysAtom<'g, P> {
+        let inputs = assignment.values();
         Atom::new("safe", move |g: &SystemGraph<'g, P>, id| {
-            check_safety(g.sys(), g.map().resolve(id), &assignment).is_none()
+            let own = g.map().own_decisions(id);
+            let proposed = inputs.iter().fold(0u64, |m, v| m | g.map().lane_bit(v));
+            own.count_ones() <= 1 && own & !proposed == 0
         })
     }
 
     /// No process has failed in this state.
     pub fn no_failures<'g, P: ProcessAutomaton>() -> SysAtom<'g, P> {
         Atom::new("no_failures", |g: &SystemGraph<'g, P>, id| {
-            g.map().resolve(id).failed.is_empty()
+            g.map().failed_mask(id) == 0
         })
     }
 
     /// Process `i` is marked failed in this state.
     pub fn failed<'g, P: ProcessAutomaton>(i: usize) -> SysAtom<'g, P> {
         Atom::new(format!("failed({i})"), move |g: &SystemGraph<'g, P>, id| {
-            g.map().resolve(id).failed.contains(&ProcId(i))
+            i < 32 && (g.map().failed_mask(id) >> i) & 1 == 1
         })
     }
 

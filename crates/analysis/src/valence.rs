@@ -18,13 +18,14 @@
 
 use ioa::automaton::Automaton;
 use ioa::canon::{SymGroup, SymmetryMode};
-use ioa::explore::{ExploreOptions, ExploreStats, ExploredGraph, FrontierMode};
-use ioa::store::{fx_hash, StateId, StateStore};
+use ioa::explore::{ExploreOptions, ExploreStats, ExploredGraph, FrontierMode, GraphParts};
+use ioa::store::{fx_hash, CompId, StateId, StateStore};
 use ioa::Csr;
-use spec::{RelabelValues, Val, ValuePerm};
+use spec::{ProcId, RelabelValues, Val, ValuePerm};
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::{Arc, OnceLock};
 use system::build::{CompleteSystem, SystemState};
-use system::packed::{canonical_system_state_with, PackedSystem};
+use system::packed::{canonical_system_state_with, Arenas, PackedState, PackedSystem};
 use system::process::ProcessAutomaton;
 use system::{Action, Task};
 
@@ -102,16 +103,27 @@ impl std::error::Error for Truncated {}
 /// Self-loop transitions are skipped at exploration time: a stuttering
 /// step never changes the decisions reachable from a configuration.
 ///
-/// The graph is *explored* over the component-interned representation
-/// ([`PackedSystem`], DESIGN §2.1.2) — successors there are flat
-/// id-vector copies instead of deep `BTreeMap` clones — and the packed
-/// states are decoded back into [`SystemState`]s in id order once
-/// exploration finishes, so every downstream consumer keeps the deep
-/// view. Ids, edges, parents and stats are bit-identical to exploring
-/// the deep representation directly (pinned by the differential tests).
+/// The graph is explored and kept over the component-interned
+/// representation ([`PackedState`], DESIGN §2.1.2): the map holds the
+/// explorer's packed store plus a shared handle to the component
+/// arenas, never the packed system's effect cache or symmetry tables.
+/// Decisions are `u64` lane masks over the map's decision-value
+/// universe, one own mask and one reachable mask per state. The deep
+/// [`SystemState`] view is decoded lazily, once per id, on the first
+/// [`ValenceMap::resolve`] of that id — so a pass that only asks
+/// valence, decision, failure or applicability questions decodes
+/// nothing. Ids, edges, parents and stats are bit-identical to
+/// exploring the deep representation directly (pinned by the
+/// differential tests).
 #[derive(Debug)]
 pub struct ValenceMap<P: ProcessAutomaton> {
-    store: StateStore<SystemState<P::State>>,
+    store: StateStore<PackedState>,
+    /// The process count: slots `0..n` of every packed state.
+    n: usize,
+    /// The component arenas the packed states index into.
+    arenas: Arc<Arenas<P::State>>,
+    /// `decoded[id]`: the deep view of `id`, filled on first use.
+    decoded: Vec<OnceLock<Box<SystemState<P::State>>>>,
     root: StateId,
     /// Flat CSR adjacency: row `id` holds the `(task, action,
     /// successor)` transitions out of `id`, in task order. One
@@ -127,23 +139,49 @@ pub struct ValenceMap<P: ProcessAutomaton> {
     /// BFS tree: the step that first discovered each non-root state.
     parent: Vec<Option<(StateId, Task, Action)>>,
     stats: ExploreStats,
-    /// `decided[id]` = the decision values reachable from `id`.
-    decided: Vec<BTreeSet<Val>>,
-    /// `valence[id]`, precomputed from `decided` — the census becomes a
+    /// The decision values with a lane, in `Val` order: lane `j` is
+    /// bit `1 << j` of every decision mask.
+    universe: Vec<Val>,
+    /// `proc_lane[pc]` = the lane of the decision recorded in process
+    /// component `pc`, or [`NO_LANE`] when it records none. Memoized
+    /// once per distinct process component of the map.
+    proc_lane: Vec<u8>,
+    /// `own[id]` = the decisions recorded in `id` itself.
+    own: Vec<u64>,
+    /// `reach[id]` = the decisions reachable failure-free from `id`.
+    reach: Vec<u64>,
+    /// `valence[id]`, precomputed from `reach` — the census becomes a
     /// flat array scan.
     valence: Vec<Valence>,
+    /// Every distinct reachable mask (and, in a value quotient, its
+    /// relabeled image) with its value set, sorted by mask: the few
+    /// sets [`ValenceMap::reachable_decisions`] hands out by reference.
+    decision_sets: Vec<(u64, BTreeSet<Val>)>,
     /// The symmetry group the explored graph was quotiented by
     /// (`None` when exploration ran concretely). When present, every
     /// non-root state in the map is an orbit representative, and
     /// lookups canonicalize their argument on a raw miss.
     sym: Option<SymGroup>,
-    /// `decided` with every value relabeled by [`ValuePerm::Swap`] —
+    /// `swap_lane[j]` = the lane of `ν` applied to lane `j`'s value —
     /// present exactly when the quotient composed the value relabeling
     /// group. A concrete state whose canonicalization swapped 0 ↔ 1
-    /// answers out of this table: if `rep = σ·ν·s` then the decisions
+    /// answers through it: if `rep = σ·ν·s` then the decisions
     /// reachable from `s` are `ν` applied to those reachable from
     /// `rep`.
-    decided_swapped: Option<Vec<BTreeSet<Val>>>,
+    swap_lane: Option<Vec<u8>>,
+}
+
+/// The `proc_lane` entry of an undeciding component.
+const NO_LANE: u8 = u8::MAX;
+
+/// The bit of lane `lane` (none for [`NO_LANE`]).
+#[inline]
+fn bit_of_lane(lane: u8) -> u64 {
+    if lane == NO_LANE {
+        0
+    } else {
+        1 << lane
+    }
 }
 
 impl<P: ProcessAutomaton> ValenceMap<P> {
@@ -275,65 +313,62 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
             });
         }
         let parts = graph.into_parts();
+        let twists = value_twists(packed, &parts);
+        let arenas = Arc::clone(packed.arenas());
+        let n = sys.process_count();
 
-        // Per-edge value twists, present exactly when the quotient
-        // composed the 0 ↔ 1 relabeling (`SymmetryMode::Values`). The
-        // explorer canonicalizes successors without recording which
-        // group element did it, so each edge's value component is
-        // re-derived by re-expanding every source against the now-warm
-        // effect cache in exactly the explorer's (task order, branch
-        // order) discipline, including its two-stage self-loop pruning.
-        // `twists[k] = true` for flat-arena edge `k` means the edge's
-        // concrete successor canonicalized through `ValuePerm::Swap`:
-        // if `rep' = σ·ν·s'` then the decisions reachable from the
-        // concrete successor `s'` are `ν` applied to those of `rep'`,
-        // so the backward fixpoint below must pull each edge's
-        // contribution back through its twist.
-        let twists: Option<Vec<bool>> = match packed.symmetry_group() {
-            Some(g) if g.values => {
-                let tasks = Automaton::tasks(packed);
-                let mut twists = Vec::new();
-                for (idx, ps) in parts.store.states().iter().enumerate() {
-                    let row = parts.edges.row(idx);
-                    let mut k = 0usize;
-                    for t in &tasks {
-                        for (_, s2) in Automaton::succ_all(packed, t, ps) {
-                            if &s2 == ps {
-                                continue;
-                            }
-                            let (rep, _, nu) = packed.canonical_with_sym(&s2);
-                            if &rep == ps {
-                                continue;
-                            }
-                            debug_assert_eq!(&row[k].0, t, "re-expansion must mirror the explorer");
-                            debug_assert_eq!(
-                                parts.store.get(&rep),
-                                Some(row[k].2),
-                                "re-expansion must rediscover the recorded successor"
-                            );
-                            twists.push(!nu.is_identity());
-                            k += 1;
-                        }
+        // Own decisions, memoized per distinct process component: each
+        // component's recorded decision is read once, then every
+        // state's own mask is an OR over its process slots.
+        let (universe, proc_lane) = {
+            let procs = arenas.procs();
+            let mut seen: Vec<Option<Option<Val>>> = vec![None; procs.len()];
+            for ps in parts.store.states() {
+                for &pc in &ps.comps()[..n] {
+                    let slot = &mut seen[pc as usize];
+                    if slot.is_none() {
+                        let st = procs.resolve(CompId::from_index(pc as usize));
+                        *slot = Some(sys.process_automaton().decision(st));
                     }
-                    debug_assert_eq!(k, row.len(), "edge rows must be re-derived exactly");
                 }
-                Some(twists)
             }
-            _ => None,
+            let mut uni: BTreeSet<Val> = seen.iter().flatten().flatten().cloned().collect();
+            if twists.is_some() {
+                // The twisted fixpoint maps masks through ν, so the
+                // lane universe must be ν-closed (Swap is an
+                // involution: one closure pass suffices).
+                let images: Vec<Val> = uni
+                    .iter()
+                    .map(|v| v.relabel_values(ValuePerm::Swap))
+                    .collect();
+                uni.extend(images);
+            }
+            let universe: Vec<Val> = uni.into_iter().collect();
+            assert!(
+                universe.len() <= ioa::fixpoint::MAX_LANES,
+                "decision-value universe exceeds {} bit lanes",
+                ioa::fixpoint::MAX_LANES
+            );
+            let proc_lane: Vec<u8> = seen
+                .iter()
+                .map(|d| match d {
+                    Some(Some(v)) => lane_index(&universe, v),
+                    _ => NO_LANE,
+                })
+                .collect();
+            (universe, proc_lane)
         };
+        let own: Vec<u64> = parts
+            .store
+            .states()
+            .iter()
+            .map(|ps| {
+                ps.comps()[..n]
+                    .iter()
+                    .fold(0u64, |m, &pc| m | bit_of_lane(proc_lane[pc as usize]))
+            })
+            .collect();
 
-        // Decode each packed state back into the deep representation,
-        // in id order: interning in insertion order reproduces the
-        // packed ids exactly (the encoding is injective, so every
-        // decode is fresh), and the edge/parent tables carry over
-        // verbatim.
-        let mut store = StateStore::with_capacity(parts.store.len());
-        for ps in parts.store.states() {
-            let s = packed.decode(ps);
-            let h = fx_hash(&s);
-            let (_, fresh) = store.intern_prehashed(s, h);
-            debug_assert!(fresh, "packed states decode injectively");
-        }
         let root = parts.roots[0];
         let edges = parts.edges;
 
@@ -342,144 +377,94 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         let preds: Csr<StateId> =
             edges.reversed(|e| e.2.index(), |src, _| StateId::from_index(src));
 
-        // Backward fixpoint: decided(s) = own decisions ∪ ⋃ decided(s').
-        // The sweep runs on the shared bit-lane union engine
-        // (`ioa::fixpoint::backward_union`, the same machinery the
-        // property evaluator batches its backward analyses on): the
-        // small universe of decision values is interned into bit
-        // lanes, each state's mask is seeded with its own decisions,
-        // and the fixpoint propagates whole masks over the reverse
-        // edges. Set union is confluent, so the result is identical to
-        // the former per-`BTreeSet` worklist, element for element.
-        let own: Vec<BTreeSet<Val>> = store
-            .ids()
-            .map(|id| sys.decided_values(store.resolve(id)))
-            .collect();
-        let mut uni: BTreeSet<Val> = own.iter().flat_map(|d| d.iter().cloned()).collect();
-        if twists.is_some() {
-            // The twisted fixpoint maps masks through ν, so the lane
-            // universe must be ν-closed (Swap is an involution: one
-            // closure pass suffices).
-            let images: Vec<Val> = uni
+        // Backward fixpoint: reach(s) = own(s) ∪ ⋃ reach(s'), on the
+        // shared bit-lane union engine (`ioa::fixpoint::backward_union`,
+        // the same machinery the property evaluator batches its
+        // backward analyses on).
+        let mut reach = own.clone();
+        let swap_lane: Option<Vec<u8>> = twists.as_ref().map(|_| {
+            universe
                 .iter()
-                .map(|v| v.relabel_values(ValuePerm::Swap))
-                .collect();
-            uni.extend(images);
-        }
-        let universe: Vec<Val> = uni.into_iter().collect();
-        assert!(
-            universe.len() <= ioa::fixpoint::MAX_LANES,
-            "decision-value universe exceeds {} bit lanes",
-            ioa::fixpoint::MAX_LANES
-        );
-        let mut masks: Vec<u64> = own
-            .iter()
-            .map(|d| {
-                d.iter().fold(0u64, |m, v| {
-                    m | 1 << universe.binary_search(v).expect("value interned")
-                })
-            })
-            .collect();
-        match &twists {
-            None => ioa::fixpoint::backward_union(&preds, &mut masks),
-            Some(tw) => {
-                // ν-twisted backward fixpoint:
-                //   D(r) = own(r) ∪ ⋃_{edges e: r → r'} ν_e(D(r')).
-                // The untwisted bit-lane engine cannot express the
-                // per-edge lane permutation, so the twisted quotient
-                // runs a hand-rolled worklist over a reverse adjacency
-                // that carries each edge's twist bit. Set union is
-                // confluent and ν is a lane bijection, so the least
-                // fixpoint is reached regardless of processing order.
-                let swap_lane: Vec<usize> = universe
-                    .iter()
-                    .map(|v| {
-                        universe
-                            .binary_search(&v.relabel_values(ValuePerm::Swap))
-                            .expect("decision universe is ν-closed")
-                    })
-                    .collect();
-                let swap_mask = |m: u64| -> u64 {
-                    let mut out = 0u64;
-                    for (j, &sj) in swap_lane.iter().enumerate() {
-                        if m & (1 << j) != 0 {
-                            out |= 1 << sj;
-                        }
-                    }
-                    out
-                };
-                let n = masks.len();
-                let mut rev: Vec<Vec<(u32, bool)>> = vec![Vec::new(); n];
-                let mut k = 0usize;
-                for u in 0..n {
-                    for (_, _, v) in edges.row(u) {
-                        rev[v.index()].push((u as u32, tw[k]));
-                        k += 1;
-                    }
-                }
-                debug_assert_eq!(k, tw.len(), "one twist per flat-arena edge");
-                let mut queue: VecDeque<usize> = (0..n).collect();
-                let mut queued = vec![true; n];
-                while let Some(v) = queue.pop_front() {
-                    queued[v] = false;
-                    let m = masks[v];
-                    if m == 0 {
-                        continue;
-                    }
-                    for &(u, sw) in &rev[v] {
-                        let contrib = if sw { swap_mask(m) } else { m };
-                        let u = u as usize;
-                        if masks[u] | contrib != masks[u] {
-                            masks[u] |= contrib;
-                            if !queued[u] {
-                                queued[u] = true;
-                                queue.push_back(u);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let decided: Vec<BTreeSet<Val>> = masks
-            .iter()
-            .map(|m| {
-                universe
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| m & (1 << j) != 0)
-                    .map(|(_, v)| v.clone())
-                    .collect()
-            })
-            .collect();
-
-        let valence = decided.iter().map(classify).collect();
-        let decided_swapped = twists.as_ref().map(|_| {
-            decided
-                .iter()
-                .map(|d| {
-                    d.iter()
-                        .map(|v| v.relabel_values(ValuePerm::Swap))
-                        .collect()
-                })
+                .map(|v| lane_index(&universe, &v.relabel_values(ValuePerm::Swap)))
                 .collect()
         });
+        match (&twists, &swap_lane) {
+            (Some(tw), Some(swap)) => twisted_union(&edges, tw, swap, &mut reach),
+            _ => ioa::fixpoint::backward_union(&preds, &mut reach),
+        }
+
+        let (zero, one) = (
+            lane_bit_of(&universe, &Val::Int(0)),
+            lane_bit_of(&universe, &Val::Int(1)),
+        );
+        let valence = reach
+            .iter()
+            .map(|&m| classify_bits(m & zero != 0, m & one != 0))
+            .collect();
+        // Distinct masks are few (at most 2^lanes), so a linear probe
+        // beats sorting one mask per state.
+        let mut masks: Vec<u64> = Vec::new();
+        for &m in &reach {
+            if !masks.contains(&m) {
+                masks.push(m);
+            }
+        }
+        if let Some(swap) = &swap_lane {
+            let images: Vec<u64> = masks.iter().map(|&m| permute_lanes(swap, m)).collect();
+            masks.extend(images);
+        }
+        masks.sort_unstable();
+        masks.dedup();
+        let decision_sets = masks
+            .into_iter()
+            .map(|m| (m, values_of(&universe, m)))
+            .collect();
+        let decoded = (0..parts.store.len()).map(|_| OnceLock::new()).collect();
         Ok(ValenceMap {
-            store,
+            store: parts.store,
+            n,
+            arenas,
+            decoded,
             root,
             edges,
             preds,
             parent: parts.parent,
             stats: parts.stats,
-            decided,
+            universe,
+            proc_lane,
+            own,
+            reach,
             valence,
+            decision_sets,
             sym: packed.symmetry_group(),
-            decided_swapped,
+            swap_lane,
         })
+    }
+
+    /// Moves the map onto fresh component arenas holding only its own
+    /// components. A map built on a packed system shared with other
+    /// explorations (the Lemma 4 walk) otherwise keeps every component
+    /// those explorations interned alive for as long as it lives. Ids,
+    /// edges, decisions and valences are unchanged.
+    pub(crate) fn compact(&mut self) {
+        let (arenas, states, old_procs) = self.arenas.compacted(self.store.states());
+        let mut store = StateStore::with_capacity(states.len());
+        for ps in states {
+            let h = fx_hash(&ps);
+            let (_, fresh) = store.intern_prehashed(ps, h);
+            debug_assert!(fresh, "re-packing is injective");
+        }
+        self.proc_lane = old_procs
+            .iter()
+            .map(|&pc| self.proc_lane[pc as usize])
+            .collect();
+        self.store = store;
+        self.arenas = Arc::new(arenas);
     }
 
     /// The root state the map was built from.
     pub fn root(&self) -> &SystemState<P::State> {
-        self.store.resolve(self.root)
+        self.resolve(self.root)
     }
 
     /// The root's id.
@@ -505,28 +490,41 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// A deterministic accounting of the retained graph arenas:
     /// `(peak_interned_states, arena_bytes)`. The state store only ever
     /// grows, so the final count *is* the peak. Bytes sum the inline
-    /// sizes of every retained arena — state headers, both CSR edge
-    /// arenas, the BFS tree, the valence array, the decision tables
-    /// (and their relabeled twin under a value quotient). Heap owned
-    /// *behind* component states (service buffers, deep `Val`s) is
-    /// deliberately not traversed: the figure is a stable, allocator-
-    /// independent lower bound for regression tracking, not an RSS
-    /// report.
+    /// sizes of every retained per-map table — packed state headers and
+    /// their id words, both CSR edge arenas, the BFS tree, the valence
+    /// array, the decision masks and lane memo, the lazy-decode cells
+    /// and the deep states decoded so far. The shared component arenas
+    /// and heap owned *behind* component states (service buffers, deep
+    /// `Val`s) are deliberately not traversed: the figure is a stable,
+    /// allocator-independent lower bound for regression tracking, not
+    /// an RSS report.
     #[must_use]
     pub fn footprint(&self) -> (u64, u64) {
         use std::mem::size_of;
-        let decided_bytes =
-            |d: &[BTreeSet<Val>]| d.iter().map(|s| s.len() * size_of::<Val>()).sum::<usize>();
-        let mut bytes = self.state_count() * size_of::<SystemState<P::State>>()
+        let words: usize = self.store.states().iter().map(|s| s.comps().len()).sum();
+        let bytes = self.state_count() * size_of::<PackedState>()
+            + words * size_of::<u32>()
             + self.edges.entry_count() * size_of::<(Task, Action, StateId)>()
             + self.preds.entry_count() * size_of::<StateId>()
             + self.parent.len() * size_of::<Option<(StateId, Task, Action)>>()
             + self.valence.len() * size_of::<Valence>()
-            + decided_bytes(&self.decided);
-        if let Some(swapped) = &self.decided_swapped {
-            bytes += decided_bytes(swapped);
-        }
+            + (self.own.len() + self.reach.len()) * size_of::<u64>()
+            + self
+                .decision_sets
+                .iter()
+                .map(|(_, d)| size_of::<(u64, BTreeSet<Val>)>() + d.len() * size_of::<Val>())
+                .sum::<usize>()
+            + self.proc_lane.len()
+            + self.decoded.len() * size_of::<OnceLock<Box<SystemState<P::State>>>>()
+            + self.decoded_count() * size_of::<SystemState<P::State>>();
         (self.state_count() as u64, bytes as u64)
+    }
+
+    /// How many ids have had their deep state decoded so far — the
+    /// lazy-decode census the differential tests pin.
+    #[must_use]
+    pub fn decoded_count(&self) -> usize {
+        self.decoded.iter().filter(|c| c.get().is_some()).count()
     }
 
     /// The BFS-tree step that first discovered `id` (`None` for roots).
@@ -564,19 +562,28 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// value-dependent answer read off the representative must be
     /// mapped back through `ν`. Raw hits (the non-canonical root, and
     /// every state of a concrete map) answer with the identity.
+    ///
+    /// The lookup encodes read-only against the component arenas: a
+    /// component never interned means the state was never explored.
     fn lookup(&self, s: &SystemState<P::State>) -> Option<(StateId, ValuePerm)> {
-        if let Some(id) = self.store.get(s) {
+        let raw = self
+            .arenas
+            .encode_existing(s)
+            .and_then(|ps| self.store.get(&ps));
+        if let Some(id) = raw {
             return Some((id, ValuePerm::Id));
         }
         let group = self.sym?;
         let (rep, _, nu) = canonical_system_state_with(group, s);
-        Some((self.store.get(&rep)?, nu))
+        let id = self.store.get(&self.arenas.encode_existing(&rep)?)?;
+        Some((id, nu))
     }
 
-    /// Resolve an id back to its state.
+    /// Resolve an id back to its deep state, decoding it on first use.
     #[inline]
     pub fn resolve(&self, id: StateId) -> &SystemState<P::State> {
-        self.store.resolve(id)
+        self.decoded[id.index()]
+            .get_or_init(|| Box::new(self.arenas.decode(self.store.resolve(id))))
     }
 
     fn require(&self, s: &SystemState<P::State>) -> (StateId, ValuePerm) {
@@ -584,10 +591,19 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
             .unwrap_or_else(|| panic!("state not in the explored space"))
     }
 
+    /// The value set of a mask some state of the map reaches.
+    fn decision_set(&self, mask: u64) -> &BTreeSet<Val> {
+        let k = self
+            .decision_sets
+            .binary_search_by_key(&mask, |(m, _)| *m)
+            .expect("every reachable mask has its value set");
+        &self.decision_sets[k].1
+    }
+
     /// The decision values reachable failure-free from `s`.
     ///
     /// In a value-composed quotient, a state whose canonicalization
-    /// swapped 0 ↔ 1 answers out of the pre-relabeled table: the
+    /// swapped 0 ↔ 1 answers through the lane relabeling: the
     /// decisions reachable from `s` are `ν` applied to those reachable
     /// from its representative.
     ///
@@ -597,21 +613,56 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// [`ValenceMap::contains`]).
     pub fn reachable_decisions(&self, s: &SystemState<P::State>) -> &BTreeSet<Val> {
         let (id, nu) = self.require(s);
+        let mask = self.reach[id.index()];
         if nu.is_identity() {
-            self.reachable_decisions_id(id)
+            self.decision_set(mask)
         } else {
-            let swapped = self
-                .decided_swapped
+            let swap = self
+                .swap_lane
                 .as_ref()
                 .expect("swap lookups only occur in value-composed quotients");
-            &swapped[id.index()]
+            self.decision_set(permute_lanes(swap, mask))
         }
     }
 
     /// The decision values reachable failure-free from `id`.
     #[inline]
     pub fn reachable_decisions_id(&self, id: StateId) -> &BTreeSet<Val> {
-        &self.decided[id.index()]
+        self.decision_set(self.reach[id.index()])
+    }
+
+    /// The lane bit of decision value `v`: `0` when no state of the map
+    /// records `v` (so no mask can contain it).
+    #[must_use]
+    pub(crate) fn lane_bit(&self, v: &Val) -> u64 {
+        lane_bit_of(&self.universe, v)
+    }
+
+    /// The decisions recorded in `id` itself, as a lane mask (see
+    /// [`ValenceMap::lane_bit`]).
+    #[inline]
+    pub(crate) fn own_decisions(&self, id: StateId) -> u64 {
+        self.own[id.index()]
+    }
+
+    /// Whether process `i` has decided in `id` — one memo read, no
+    /// decode.
+    #[inline]
+    pub(crate) fn proc_decided(&self, id: StateId, i: ProcId) -> bool {
+        i.0 < self.n && self.proc_lane[self.store.resolve(id).comps()[i.0] as usize] != NO_LANE
+    }
+
+    /// The failed-set bitmask of `id` (bit `i` set iff `fail_i` has
+    /// occurred).
+    #[inline]
+    pub(crate) fn failed_mask(&self, id: StateId) -> u32 {
+        self.store.resolve(id).failed_mask()
+    }
+
+    /// Whether task `t` is applicable at `id`, read off the component
+    /// arenas without decoding.
+    pub(crate) fn applicable(&self, sys: &CompleteSystem<P>, t: &Task, id: StateId) -> bool {
+        self.arenas.applicable(sys, t, self.store.resolve(id))
     }
 
     /// The valence of `s` (Section 3.2). In a value-composed quotient
@@ -683,20 +734,144 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         self.successors(id)
             .iter()
             .find(|(t2, _, _)| t2 == t)
-            .map(|(_, _, s2)| self.store.resolve(*s2).clone())
+            .map(|(_, _, s2)| self.resolve(*s2).clone())
     }
 }
 
-/// Classifies a reachable-decisions set (binary consensus values).
-pub fn classify(d: &BTreeSet<Val>) -> Valence {
-    let zero = d.contains(&Val::Int(0));
-    let one = d.contains(&Val::Int(1));
+/// Per-edge value twists, present exactly when the quotient composed
+/// the 0 ↔ 1 relabeling (`SymmetryMode::Values`). The explorer
+/// canonicalizes successors without recording which group element did
+/// it, so each edge's value component is re-derived by re-expanding
+/// every source against the now-warm effect cache in exactly the
+/// explorer's (task order, branch order) discipline, including its
+/// two-stage self-loop pruning. `twists[k] = true` for flat-arena edge
+/// `k` means the edge's concrete successor canonicalized through
+/// `ValuePerm::Swap`: if `rep' = σ·ν·s'` then the decisions reachable
+/// from the concrete successor `s'` are `ν` applied to those of
+/// `rep'`, so the backward fixpoint must pull each edge's contribution
+/// back through its twist.
+fn value_twists<P: ProcessAutomaton>(
+    packed: &PackedSystem<'_, P>,
+    parts: &GraphParts<PackedSystem<'_, P>>,
+) -> Option<Vec<bool>> {
+    if !packed.symmetry_group()?.values {
+        return None;
+    }
+    let tasks = Automaton::tasks(packed);
+    let mut twists = Vec::new();
+    for (idx, ps) in parts.store.states().iter().enumerate() {
+        let row = parts.edges.row(idx);
+        let mut k = 0usize;
+        for t in &tasks {
+            for (_, s2) in Automaton::succ_all(packed, t, ps) {
+                if &s2 == ps {
+                    continue;
+                }
+                let (rep, _, nu) = packed.canonical_with_sym(&s2);
+                if &rep == ps {
+                    continue;
+                }
+                debug_assert_eq!(&row[k].0, t, "re-expansion must mirror the explorer");
+                debug_assert_eq!(
+                    parts.store.get(&rep),
+                    Some(row[k].2),
+                    "re-expansion must rediscover the recorded successor"
+                );
+                twists.push(!nu.is_identity());
+                k += 1;
+            }
+        }
+        debug_assert_eq!(k, row.len(), "edge rows must be re-derived exactly");
+    }
+    Some(twists)
+}
+
+/// The ν-twisted backward fixpoint:
+///   `D(r) = own(r) ∪ ⋃_{edges e: r → r'} ν_e(D(r'))`.
+/// The untwisted bit-lane engine cannot express the per-edge lane
+/// permutation, so the twisted quotient runs a worklist over a reverse
+/// adjacency that carries each edge's twist bit. Set union is
+/// confluent and ν is a lane bijection, so the least fixpoint is
+/// reached regardless of processing order.
+fn twisted_union(
+    edges: &Csr<(Task, Action, StateId)>,
+    twists: &[bool],
+    swap: &[u8],
+    masks: &mut [u64],
+) {
+    let n = masks.len();
+    let mut rev: Vec<Vec<(u32, bool)>> = vec![Vec::new(); n];
+    let mut k = 0usize;
+    for u in 0..n {
+        for (_, _, v) in edges.row(u) {
+            rev[v.index()].push((u as u32, twists[k]));
+            k += 1;
+        }
+    }
+    debug_assert_eq!(k, twists.len(), "one twist per flat-arena edge");
+    let mut queue: VecDeque<usize> = (0..n).collect();
+    let mut queued = vec![true; n];
+    while let Some(v) = queue.pop_front() {
+        queued[v] = false;
+        let m = masks[v];
+        if m == 0 {
+            continue;
+        }
+        for &(u, sw) in &rev[v] {
+            let contrib = if sw { permute_lanes(swap, m) } else { m };
+            let u = u as usize;
+            if masks[u] | contrib != masks[u] {
+                masks[u] |= contrib;
+                if !queued[u] {
+                    queued[u] = true;
+                    queue.push_back(u);
+                }
+            }
+        }
+    }
+}
+
+/// `mask` with lane `j` moved to lane `perm[j]`.
+fn permute_lanes(perm: &[u8], mask: u64) -> u64 {
+    perm.iter()
+        .enumerate()
+        .filter(|(j, _)| mask & (1 << j) != 0)
+        .fold(0u64, |out, (_, &pj)| out | 1 << pj)
+}
+
+/// The values of the lanes set in `mask`.
+fn values_of(universe: &[Val], mask: u64) -> BTreeSet<Val> {
+    universe
+        .iter()
+        .enumerate()
+        .filter(|(j, _)| mask & (1 << j) != 0)
+        .map(|(_, v)| v.clone())
+        .collect()
+}
+
+/// The lane of `v` in a sorted universe that contains it.
+fn lane_index(universe: &[Val], v: &Val) -> u8 {
+    let j = universe.binary_search(v).expect("value interned");
+    u8::try_from(j).expect("at most 64 lanes")
+}
+
+/// The lane bit of `v`, or `0` when `v` has no lane.
+fn lane_bit_of(universe: &[Val], v: &Val) -> u64 {
+    universe.binary_search(v).map_or(0, |j| 1 << j)
+}
+
+fn classify_bits(zero: bool, one: bool) -> Valence {
     match (zero, one) {
         (true, true) => Valence::Bivalent,
         (true, false) => Valence::Zero,
         (false, true) => Valence::One,
         (false, false) => Valence::Undecided,
     }
+}
+
+/// Classifies a reachable-decisions set (binary consensus values).
+pub fn classify(d: &BTreeSet<Val>) -> Valence {
+    classify_bits(d.contains(&Val::Int(0)), d.contains(&Val::Int(1)))
 }
 
 #[cfg(test)]
@@ -798,6 +973,34 @@ mod tests {
         // a drifted window over the shared counters.
         assert_eq!(c_b.lookups(), c_b.hits + c_b.misses);
         assert!(c_b.lookups() < c_a1.lookups() + c_a2.lookups());
+    }
+
+    #[test]
+    fn compaction_keeps_every_answer() {
+        // Two roots on one packed system: the second map's components
+        // share the arenas with the first. Compacting the first must
+        // leave ids, lookups, decisions and decoded states unchanged.
+        let sys = direct(3, 1);
+        let packed = PackedSystem::with_symmetry(&sys, SymmetryMode::Off);
+        let root = initialize(&sys, &InputAssignment::monotone(3, 1));
+        let reference = ValenceMap::build_in(&sys, &packed, root.clone(), 100_000, 1).unwrap();
+        let mut map = ValenceMap::build_in(&sys, &packed, root, 100_000, 1).unwrap();
+        let other = initialize(&sys, &InputAssignment::monotone(3, 3));
+        let _ = ValenceMap::build_in(&sys, &packed, other, 100_000, 1).unwrap();
+        map.compact();
+        for id in reference.ids() {
+            let s = reference.resolve(id);
+            assert_eq!(map.resolve(id), s);
+            assert_eq!(map.id_of(s), Some(id));
+            assert_eq!(map.valence_id(id), reference.valence_id(id));
+            assert_eq!(map.own_decisions(id), reference.own_decisions(id));
+            for i in 0..3 {
+                assert_eq!(
+                    map.proc_decided(id, ProcId(i)),
+                    reference.proc_decided(id, ProcId(i))
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! paper's three service classes.
 
 use crate::hook::{find_hook, Hook, HookOutcome};
-use crate::init::{find_bivalent_init_sym, InitOutcome};
+use crate::init::{walk_monotone_roots, InitOutcome};
 use crate::prop;
 use crate::similarity::{
     analyze_hook, refute_adjacent_pair, refute_similar_pair, HookSimilarity, Refutation,
@@ -34,7 +34,6 @@ use spec::ProcId;
 use system::build::{CompleteSystem, SystemState};
 use system::consensus::{check_safety, InputAssignment, SafetyViolation};
 use system::process::ProcessAutomaton;
-use system::sched::initialize;
 
 /// Search bounds for the pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -202,6 +201,15 @@ pub enum WitnessError {
     Truncated(Truncated),
     /// The pipeline could not classify the candidate within bounds.
     Inconclusive(String),
+    /// The refutation stage was reached with `f + 1 ≥ n`: failing
+    /// `f + 1` processes leaves no survivor, so Lemmas 6/7 do not
+    /// apply (they need `f < n − 1`).
+    NoSurvivor {
+        /// The process count.
+        n: usize,
+        /// The resilience of the services.
+        f: usize,
+    },
 }
 
 impl std::fmt::Display for WitnessError {
@@ -209,6 +217,12 @@ impl std::fmt::Display for WitnessError {
         match self {
             WitnessError::Truncated(t) => write!(f, "{t}"),
             WitnessError::Inconclusive(s) => write!(f, "inconclusive: {s}"),
+            WitnessError::NoSurvivor { n, f: resilience } => write!(
+                f,
+                "failing f + 1 = {} of n = {n} processes leaves no survivor; \
+                 the refutation needs f < n − 1",
+                resilience + 1
+            ),
         }
     }
 }
@@ -256,44 +270,58 @@ fn safety_scan<P: ProcessAutomaton>(
 /// happen for genuine `f`-resilient-services candidates (and indeed
 /// the Section 4 k-set systems exercise exactly this path in the
 /// ablation benches, via the k-safety variant that does *not* treat
-/// k-agreement as a violation).
+/// k-agreement as a violation); [`WitnessError::NoSurvivor`] when the
+/// refutation stage is reached with `f + 1 ≥ n`.
 pub fn find_witness<P: ProcessAutomaton>(
     sys: &CompleteSystem<P>,
     f: usize,
     bounds: Bounds,
 ) -> Result<ImpossibilityWitness<P>, WitnessError> {
     let n = sys.process_count();
-
-    // Stage 1: failure-free safety over every monotone initialization.
-    // The scan checks validity against each concrete assignment — an
-    // observation the 0 ↔ 1 relabeling does *not* preserve (a rep
-    // deciding 1 may stand for a concrete state deciding 0), so the
-    // scan quotients only by the value-blind part of the requested
-    // group. Stages 2–5 are relabeling-invariant and keep the full
-    // composed quotient.
-    for ones in 0..=n {
-        let assignment = InputAssignment::monotone(n, ones);
-        let root = initialize(sys, &assignment);
-        let map = ValenceMap::build_with_symmetry(
-            sys,
-            root,
-            bounds.max_states,
-            bounds.threads,
-            bounds.symmetry.value_blind(),
-        )?;
-        if let Some(violation) = safety_scan(sys, &assignment, &map) {
-            return Ok(ImpossibilityWitness::Safety {
-                assignment,
-                violation,
-            });
+    // Lemmas 6/7 fail f + 1 processes and need a survivor.
+    let survivor_check = || {
+        if f.checked_add(1).is_some_and(|failures| failures < n) {
+            Ok(())
+        } else {
+            Err(WitnessError::NoSurvivor { n, f })
         }
-    }
+    };
 
-    // Stage 2: Lemma 4.
-    match find_bivalent_init_sym(sys, bounds.max_states, bounds.threads, bounds.symmetry)? {
+    // Stages 1 and 2 in one walk over the monotone initializations
+    // (Lemma 4), each root's map built once on one shared packed
+    // system. Every map first gets the failure-free safety scan
+    // (stage 1), so all n + 1 roots are built even once the Lemma 4
+    // outcome is known, and a violation at any root wins. The scan
+    // checks validity against each concrete assignment — an
+    // observation the 0 ↔ 1 relabeling does *not* preserve (a rep
+    // deciding 1 may stand for a concrete state deciding 0) — so the
+    // walk quotients only by the value-blind part of the requested
+    // group. That is exact for stages 2–5 too: they ask the maps only
+    // for valences, which are orbit invariants.
+    let walk = walk_monotone_roots(
+        sys,
+        bounds.max_states,
+        bounds.threads,
+        bounds.symmetry.value_blind(),
+        true,
+        |assignment, map| {
+            safety_scan(sys, assignment, map).map(|violation| ImpossibilityWitness::Safety {
+                assignment: assignment.clone(),
+                violation,
+            })
+        },
+    )?;
+    let init = match walk {
+        Ok(init) => init,
+        Err(unsafe_init) => return Ok(unsafe_init),
+    };
+
+    match init {
         InitOutcome::Bivalent { assignment, map } => {
             // Stage 3: Lemma 5 / Fig. 3.
-            match find_hook(sys, &map, bounds.max_hook_iterations) {
+            let outcome = find_hook(sys, &map, bounds.max_hook_iterations);
+            drop(map);
+            match outcome {
                 HookOutcome::Hook(hook) => {
                     // Stage 4: Lemma 8 case analysis.
                     let similarity = analyze_hook(sys, &hook);
@@ -317,6 +345,7 @@ pub fn find_witness<P: ProcessAutomaton>(
                         }
                     };
                     // Stage 5: Lemma 6/7, executed.
+                    survivor_check()?;
                     let refutation = refute_similar_pair(
                         sys,
                         &x0,
@@ -346,6 +375,7 @@ pub fn find_witness<P: ProcessAutomaton>(
             one,
             differing,
         } => {
+            survivor_check()?;
             let refutation =
                 refute_adjacent_pair(sys, &zero, &one, differing, f, bounds.max_run_steps);
             Ok(ImpossibilityWitness::AdjacentRefutation {
@@ -358,25 +388,12 @@ pub fn find_witness<P: ProcessAutomaton>(
         InitOutcome::Undecided { assignment } => {
             Ok(ImpossibilityWitness::FailureFreeNonTermination { assignment })
         }
-        InitOutcome::ValidityBroken { assignment, .. } => {
-            let root = initialize(sys, &assignment);
-            let map = ValenceMap::build_with_symmetry(
-                sys,
-                root,
-                bounds.max_states,
-                bounds.threads,
-                bounds.symmetry,
-            )?;
-            let violation = safety_scan(sys, &assignment, &map).ok_or_else(|| {
-                WitnessError::Inconclusive(
-                    "valence says validity broken but no state violates it".into(),
-                )
-            })?;
-            Ok(ImpossibilityWitness::Safety {
-                assignment,
-                violation,
-            })
-        }
+        // A root that is not 0-valent (α_0) or 1-valent (α_n) reaches a
+        // decision its inputs rule out, yet the safety scan of that
+        // same map found no such state.
+        InitOutcome::ValidityBroken { .. } => Err(WitnessError::Inconclusive(
+            "valence says validity broken but no state violates it".into(),
+        )),
     }
 }
 
@@ -413,6 +430,20 @@ mod tests {
             other => panic!("expected a hook refutation, got {}", other.headline()),
         }
         assert!(w.headline().contains("hook"));
+    }
+
+    #[test]
+    fn no_survivor_is_an_error_not_a_panic() {
+        // f + 1 = n: the refutation would fail every process. The
+        // earlier stages still run; the refutation stage reports the
+        // missing survivor instead of asserting.
+        for (n, f) in [(2, 1), (3, 2), (2, 5)] {
+            let sys = direct(n, f);
+            match find_witness(&sys, f, Bounds::default().with_symmetry(SymmetryMode::Off)) {
+                Err(e) => assert_eq!(e, WitnessError::NoSurvivor { n, f }),
+                Ok(w) => panic!("n={n} f={f}: expected NoSurvivor, got {}", w.headline()),
+            }
+        }
     }
 
     #[test]

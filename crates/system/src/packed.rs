@@ -43,7 +43,7 @@ use spec::{Inv, ProcId, RelabelValues, Resp, SvcId, ValuePerm};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
-use std::sync::{RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// A system state packed as component ids.
 ///
@@ -63,6 +63,12 @@ impl PackedState {
     #[must_use]
     pub fn comps(&self) -> &[u32] {
         &self.comps
+    }
+
+    /// The failed-set bitmask: bit `i` set iff `fail_i` has occurred.
+    #[must_use]
+    pub fn failed_mask(&self) -> u32 {
+        self.comps[self.comps.len() - 1]
     }
 
     /// A copy with `slot` replaced by `id` — the id-splice a cached
@@ -95,8 +101,7 @@ pub struct PackedSystem<'s, P: ProcessAutomaton> {
     sys: &'s CompleteSystem<P>,
     n: usize,
     m: usize,
-    procs: RwLock<Interner<P::State>>,
-    svcs: RwLock<Interner<SvcState>>,
+    arenas: Arc<Arenas<P::State>>,
     /// The transition-effect cache (see [`crate::effect_cache`]).
     /// `None` disables memoization — the reference path the
     /// differential suite compares against.
@@ -104,6 +109,158 @@ pub struct PackedSystem<'s, P: ProcessAutomaton> {
     /// Orbit-canonicalization state (`None` when the system is not
     /// symmetric or the mode is [`SymmetryMode::Off`]).
     symmetry: Option<Symmetry>,
+}
+
+/// The component sub-arenas a [`PackedSystem`] interns into: one
+/// [`Interner`] of process states, one of service states. They are
+/// shared behind an [`Arc`], so a graph explored over the packed system
+/// can keep decoding its states — and looking deep states up by their
+/// packed form — after the packed system itself, with its effect cache
+/// and symmetry tables, is dropped.
+#[derive(Debug)]
+pub struct Arenas<PS> {
+    n: usize,
+    m: usize,
+    procs: RwLock<Interner<PS>>,
+    svcs: RwLock<Interner<SvcState>>,
+}
+
+impl<PS: Clone + Hash + Eq> Arenas<PS> {
+    fn new(n: usize, m: usize) -> Self {
+        Arenas {
+            n,
+            m,
+            procs: RwLock::new(Interner::new()),
+            svcs: RwLock::new(Interner::new()),
+        }
+    }
+
+    /// Unpacks a packed state into the deep representation.
+    pub fn decode(&self, ps: &PackedState) -> SystemState<PS> {
+        let procs = self.procs.read().expect("interner lock poisoned");
+        let svcs = self.svcs.read().expect("interner lock poisoned");
+        let mask = ps.failed_mask();
+        SystemState {
+            procs: (0..self.n)
+                .map(|i| {
+                    procs
+                        .resolve(CompId::from_index(ps.comps[i] as usize))
+                        .clone()
+                })
+                .collect(),
+            services: (0..self.m)
+                .map(|c| {
+                    svcs.resolve(CompId::from_index(ps.comps[self.n + c] as usize))
+                        .clone()
+                })
+                .collect(),
+            failed: (0..32u32)
+                .filter(|i| (mask >> i) & 1 == 1)
+                .map(|i| ProcId(i as usize))
+                .collect::<BTreeSet<_>>(),
+        }
+    }
+
+    /// Packs a deep state without interning anything: `None` when some
+    /// component was never interned (so no packed state built from
+    /// these arenas can equal `s`), or when `s` does not have the
+    /// arenas' shape.
+    pub fn encode_existing(&self, s: &SystemState<PS>) -> Option<PackedState> {
+        if s.procs.len() != self.n || s.services.len() != self.m {
+            return None;
+        }
+        let procs = self.procs.read().expect("interner lock poisoned");
+        let svcs = self.svcs.read().expect("interner lock poisoned");
+        let mut comps = Vec::with_capacity(self.n + self.m + 1);
+        for p in &s.procs {
+            comps.push(id_bits(procs.get(p)?));
+        }
+        for st in &s.services {
+            comps.push(id_bits(svcs.get(st)?));
+        }
+        let mut mask = 0u32;
+        for i in &s.failed {
+            if i.0 >= 32 {
+                return None;
+            }
+            mask |= 1 << i.0;
+        }
+        comps.push(mask);
+        Some(PackedState {
+            comps: comps.into_boxed_slice(),
+        })
+    }
+
+    /// Fresh arenas holding only the components `states` use, the
+    /// states re-packed against them (same order), and the old process
+    /// component id behind each new one (`old_procs[new] = old`).
+    /// Releases whatever else the arenas accumulated — the components
+    /// of other explorations that shared the same packed system.
+    pub fn compacted(&self, states: &[PackedState]) -> (Arenas<PS>, Vec<PackedState>, Vec<u32>) {
+        let procs = self.procs.read().expect("interner lock poisoned");
+        let svcs = self.svcs.read().expect("interner lock poisoned");
+        let mut new_procs: Interner<PS> = Interner::new();
+        let mut new_svcs: Interner<SvcState> = Interner::new();
+        let mut proc_ids = vec![u32::MAX; procs.len()];
+        let mut svc_ids = vec![u32::MAX; svcs.len()];
+        let mut old_procs = Vec::new();
+        let repacked = states
+            .iter()
+            .map(|ps| {
+                let mut comps = ps.comps.clone();
+                for slot in &mut comps[..self.n] {
+                    let new = &mut proc_ids[*slot as usize];
+                    if *new == u32::MAX {
+                        let st = procs.resolve(CompId::from_index(*slot as usize)).clone();
+                        *new = id_bits(new_procs.intern(st).0);
+                        old_procs.push(*slot);
+                    }
+                    *slot = *new;
+                }
+                for slot in &mut comps[self.n..self.n + self.m] {
+                    let new = &mut svc_ids[*slot as usize];
+                    if *new == u32::MAX {
+                        let st = svcs.resolve(CompId::from_index(*slot as usize)).clone();
+                        *new = id_bits(new_svcs.intern(st).0);
+                    }
+                    *slot = *new;
+                }
+                PackedState { comps }
+            })
+            .collect();
+        let fresh = Arenas {
+            n: self.n,
+            m: self.m,
+            procs: RwLock::new(new_procs),
+            svcs: RwLock::new(new_svcs),
+        };
+        (fresh, repacked, old_procs)
+    }
+
+    /// Read access to the process-component arena, for per-component
+    /// memo tables keyed by the ids in [`PackedState::comps`].
+    pub fn procs(&self) -> RwLockReadGuard<'_, Interner<PS>> {
+        self.procs.read().expect("interner lock poisoned")
+    }
+
+    /// Whether task `t` is applicable at `ps` — exactly
+    /// [`Automaton::applicable`] on the decoded state, read straight
+    /// off the component arenas.
+    pub fn applicable<P>(&self, sys: &CompleteSystem<P>, t: &Task, ps: &PackedState) -> bool
+    where
+        P: ProcessAutomaton<State = PS>,
+    {
+        sys.applicable_view(t, &self.view(ps))
+    }
+
+    fn view<'a>(&'a self, ps: &'a PackedState) -> PackedView<'a, PS> {
+        PackedView {
+            procs: self.procs.read().expect("interner lock poisoned"),
+            svcs: self.svcs.read().expect("interner lock poisoned"),
+            comps: &ps.comps,
+            n: self.n,
+        }
+    }
 }
 
 /// The canonicalizer's lazy memo tables. The group itself is never
@@ -268,8 +425,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             sys,
             n,
             m,
-            procs: RwLock::new(Interner::new()),
-            svcs: RwLock::new(Interner::new()),
+            arenas: Arc::new(Arenas::new(n, m)),
             cache: None,
             symmetry: None,
         }
@@ -313,33 +469,42 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         self.sys
     }
 
+    /// The shared component sub-arenas.
+    #[must_use]
+    pub fn arenas(&self) -> &Arc<Arenas<P::State>> {
+        &self.arenas
+    }
+
     /// Number of distinct process components interned so far.
     #[must_use]
     pub fn proc_components(&self) -> usize {
-        self.procs.read().expect("interner lock poisoned").len()
+        self.arenas
+            .procs
+            .read()
+            .expect("interner lock poisoned")
+            .len()
     }
 
     /// Number of distinct service components interned so far.
     #[must_use]
     pub fn svc_components(&self) -> usize {
-        self.svcs.read().expect("interner lock poisoned").len()
+        self.arenas
+            .svcs
+            .read()
+            .expect("interner lock poisoned")
+            .len()
     }
 
     fn view<'a>(&'a self, ps: &'a PackedState) -> PackedView<'a, P::State> {
-        PackedView {
-            procs: self.procs.read().expect("interner lock poisoned"),
-            svcs: self.svcs.read().expect("interner lock poisoned"),
-            comps: &ps.comps,
-            n: self.n,
-        }
+        self.arenas.view(ps)
     }
 
     /// Packs a deep state, interning every component.
     pub fn encode(&self, s: &SystemState<P::State>) -> PackedState {
         assert_eq!(s.procs.len(), self.n, "state has wrong process count");
         assert_eq!(s.services.len(), self.m, "state has wrong service count");
-        let mut procs = self.procs.write().expect("interner lock poisoned");
-        let mut svcs = self.svcs.write().expect("interner lock poisoned");
+        let mut procs = self.arenas.procs.write().expect("interner lock poisoned");
+        let mut svcs = self.arenas.svcs.write().expect("interner lock poisoned");
         let mut comps = Vec::with_capacity(self.n + self.m + 1);
         for p in &s.procs {
             comps.push(id_bits(procs.intern(p.clone()).0));
@@ -377,11 +542,12 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             return v;
         }
         let permuted = {
-            let svcs = self.svcs.read().expect("interner lock poisoned");
+            let svcs = self.arenas.svcs.read().expect("interner lock poisoned");
             permute_svc_state(p, svcs.resolve(CompId::from_index(sc as usize)))
         };
         let sc2 = id_bits(
-            self.svcs
+            self.arenas
+                .svcs
                 .write()
                 .expect("interner lock poisoned")
                 .intern(permuted)
@@ -412,13 +578,14 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             return v;
         }
         let relabeled = {
-            let procs = self.procs.read().expect("interner lock poisoned");
+            let procs = self.arenas.procs.read().expect("interner lock poisoned");
             procs
                 .resolve(CompId::from_index(pc as usize))
                 .relabel_values(ValuePerm::Swap)
         };
         let pc2 = id_bits(
-            self.procs
+            self.arenas
+                .procs
                 .write()
                 .expect("interner lock poisoned")
                 .intern(relabeled)
@@ -445,12 +612,13 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             return v;
         }
         let relabeled = {
-            let svcs = self.svcs.read().expect("interner lock poisoned");
+            let svcs = self.arenas.svcs.read().expect("interner lock poisoned");
             svcs.resolve(CompId::from_index(sc as usize))
                 .relabel_values(ValuePerm::Swap)
         };
         let sc2 = id_bits(
-            self.svcs
+            self.arenas
+                .svcs
                 .write()
                 .expect("interner lock poisoned")
                 .intern(relabeled)
@@ -504,7 +672,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     /// service component.
     fn proc_canonical(&self, ps: &PackedState) -> (PackedState, Perm) {
         {
-            let procs = self.procs.read().expect("interner lock poisoned");
+            let procs = self.arenas.procs.read().expect("interner lock poisoned");
             if (1..self.n)
                 .all(|j| cmp_proc_slot(&procs, ps.comps[j - 1], ps.comps[j]) == Ordering::Less)
             {
@@ -512,8 +680,8 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             }
         }
         let order = {
-            let procs = self.procs.read().expect("interner lock poisoned");
-            let svcs = self.svcs.read().expect("interner lock poisoned");
+            let procs = self.arenas.procs.read().expect("interner lock poisoned");
+            let svcs = self.arenas.svcs.read().expect("interner lock poisoned");
             let mask = ps.comps[self.n + self.m];
             let svc_states: Vec<&SvcState> = (0..self.m)
                 .map(|c| svcs.resolve(CompId::from_index(ps.comps[self.n + c] as usize)))
@@ -559,7 +727,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     /// packed twin of [`cmp_deep`].
     fn cmp_reps(&self, a: &PackedState, b: &PackedState) -> Ordering {
         {
-            let procs = self.procs.read().expect("interner lock poisoned");
+            let procs = self.arenas.procs.read().expect("interner lock poisoned");
             for j in 0..self.n {
                 let ord = cmp_proc_slot(&procs, a.comps[j], b.comps[j]);
                 if ord != Ordering::Equal {
@@ -568,7 +736,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             }
         }
         {
-            let svcs = self.svcs.read().expect("interner lock poisoned");
+            let svcs = self.arenas.svcs.read().expect("interner lock poisoned");
             for c in 0..self.m {
                 let ord = cmp_proc_slot(&svcs, a.comps[self.n + c], b.comps[self.n + c]);
                 if ord != Ordering::Equal {
@@ -622,17 +790,17 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
 
     fn miss_step(&self, cache: &EffectCache, i: ProcId, pc: u32) -> ProcStepEntry {
         let step = {
-            let procs = self.procs.read().expect("interner lock poisoned");
+            let procs = self.arenas.procs.read().expect("interner lock poisoned");
             self.sys
                 .proc_step(i, procs.resolve(CompId::from_index(pc as usize)))
         };
         let entry = match step {
             ProcStep::Local(a, pst2) => {
-                let mut procs = self.procs.write().expect("interner lock poisoned");
+                let mut procs = self.arenas.procs.write().expect("interner lock poisoned");
                 ProcStepEntry::Local(a, id_bits(procs.intern(pst2).0))
             }
             ProcStep::Invoke(c, inv, pst2) => {
-                let mut procs = self.procs.write().expect("interner lock poisoned");
+                let mut procs = self.arenas.procs.write().expect("interner lock poisoned");
                 ProcStepEntry::Invoke(c, inv, id_bits(procs.intern(pst2).0))
             }
         };
@@ -650,12 +818,13 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         sc: u32,
     ) -> u32 {
         let st2 = {
-            let svcs = self.svcs.read().expect("interner lock poisoned");
+            let svcs = self.arenas.svcs.read().expect("interner lock poisoned");
             self.sys
                 .enqueue_effect(i, c, inv, svcs.resolve(CompId::from_index(sc as usize)))
         };
         let sc2 = id_bits(
-            self.svcs
+            self.arenas
+                .svcs
                 .write()
                 .expect("interner lock poisoned")
                 .intern(st2)
@@ -668,11 +837,11 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     fn miss_perform(&self, cache: &EffectCache, c: SvcId, i: ProcId, sc: u32) -> BranchEntry {
         let svc = &self.sys.services()[c.0];
         let (branches, dummy) = {
-            let svcs = self.svcs.read().expect("interner lock poisoned");
+            let svcs = self.arenas.svcs.read().expect("interner lock poisoned");
             let st = svcs.resolve(CompId::from_index(sc as usize));
             (svc.perform_all(i, st), svc.dummy_perform_enabled(i, st))
         };
-        let mut w = self.svcs.write().expect("interner lock poisoned");
+        let mut w = self.arenas.svcs.write().expect("interner lock poisoned");
         let real: Box<[u32]> = branches
             .into_iter()
             .map(|st2| id_bits(w.intern(st2).0))
@@ -692,11 +861,11 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     ) -> BranchEntry {
         let svc = &self.sys.services()[c.0];
         let (branches, dummy) = {
-            let svcs = self.svcs.read().expect("interner lock poisoned");
+            let svcs = self.arenas.svcs.read().expect("interner lock poisoned");
             let st = svcs.resolve(CompId::from_index(sc as usize));
             (svc.compute_all(g, st), svc.dummy_compute_enabled(st))
         };
-        let mut w = self.svcs.write().expect("interner lock poisoned");
+        let mut w = self.arenas.svcs.write().expect("interner lock poisoned");
         let real: Box<[u32]> = branches
             .into_iter()
             .map(|st2| id_bits(w.intern(st2).0))
@@ -710,13 +879,14 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     fn miss_pop(&self, cache: &EffectCache, c: SvcId, i: ProcId, sc: u32) -> PopEntry {
         let svc = &self.sys.services()[c.0];
         let (popped, dummy) = {
-            let svcs = self.svcs.read().expect("interner lock poisoned");
+            let svcs = self.arenas.svcs.read().expect("interner lock poisoned");
             let st = svcs.resolve(CompId::from_index(sc as usize));
             (svc.pop_response(i, st), svc.dummy_output_enabled(i, st))
         };
         let resp = popped.map(|(r, st2)| {
             let sc2 = id_bits(
-                self.svcs
+                self.arenas
+                    .svcs
                     .write()
                     .expect("interner lock poisoned")
                     .intern(st2)
@@ -739,7 +909,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         resp: &Resp,
     ) -> u32 {
         let p2 = {
-            let procs = self.procs.read().expect("interner lock poisoned");
+            let procs = self.arenas.procs.read().expect("interner lock poisoned");
             self.sys.process_automaton().on_response(
                 i,
                 procs.resolve(CompId::from_index(pc as usize)),
@@ -748,7 +918,8 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             )
         };
         let pc2 = id_bits(
-            self.procs
+            self.arenas
+                .procs
                 .write()
                 .expect("interner lock poisoned")
                 .intern(p2)
@@ -869,28 +1040,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
 
     /// Unpacks back into the deep representation.
     pub fn decode(&self, ps: &PackedState) -> SystemState<P::State> {
-        let procs = self.procs.read().expect("interner lock poisoned");
-        let svcs = self.svcs.read().expect("interner lock poisoned");
-        let mask = ps.comps[self.n + self.m];
-        SystemState {
-            procs: (0..self.n)
-                .map(|i| {
-                    procs
-                        .resolve(CompId::from_index(ps.comps[i] as usize))
-                        .clone()
-                })
-                .collect(),
-            services: (0..self.m)
-                .map(|c| {
-                    svcs.resolve(CompId::from_index(ps.comps[self.n + c] as usize))
-                        .clone()
-                })
-                .collect(),
-            failed: (0..32u32)
-                .filter(|i| (mask >> i) & 1 == 1)
-                .map(|i| ProcId(i as usize))
-                .collect::<BTreeSet<_>>(),
-        }
+        self.arenas.decode(ps)
     }
 }
 
@@ -1204,8 +1354,8 @@ impl<P: ProcessAutomaton> Automaton for PackedSystem<'_, P> {
         if effects.is_empty() {
             return Vec::new();
         }
-        let mut procs = self.procs.write().expect("interner lock poisoned");
-        let mut svcs = self.svcs.write().expect("interner lock poisoned");
+        let mut procs = self.arenas.procs.write().expect("interner lock poisoned");
+        let mut svcs = self.arenas.svcs.write().expect("interner lock poisoned");
         effects
             .into_iter()
             .map(|(a, d)| {

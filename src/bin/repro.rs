@@ -40,6 +40,12 @@
 //! audited substrate clean, 1 any violation, 2 violation-free but
 //! some rule unauditable.
 //!
+//! `witness`, `hook`, `census` and `check` take `--n` in `2..=32` and
+//! `--f` with `f + 1 < n` (the refutation fails `f + 1` processes and
+//! needs a survivor); anything else is rejected with a one-line
+//! `error:` and exit code 2. A closed stdout (`repro … | head -1`)
+//! ends the run with exit code 0 instead of a panic.
+//!
 //! `--threads` sets the exploration worker count (0 = auto); every
 //! result is bit-identical across thread counts.
 //!
@@ -86,6 +92,30 @@ use std::process::ExitCode;
 use system::consensus::InputAssignment;
 use system::process::ProcessAutomaton;
 use system::sched::initialize;
+
+/// The largest process count a candidate can have: the packed state
+/// keeps the failed set as a 32-bit mask.
+const MAX_PROCESSES: usize = 32;
+
+/// `println!` that ends the program cleanly (exit 0) when the reader
+/// has gone away (`repro … | head -1`) instead of panicking.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout; a broken pipe exits 0, any other write error
+/// exits 2.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(&format!("cannot write to stdout: {e}"));
+    }
+}
 
 /// Minimal argument parser: a subcommand, then positional operands and
 /// `--key value` flag pairs in any order.
@@ -134,6 +164,28 @@ impl Args {
                     .unwrap_or_else(|_| die(&format!("--{key} wants a number")))
             })
             .unwrap_or(default)
+    }
+
+    /// `--n` and `--f` of a doomed candidate, validated. Every
+    /// candidate claims `(f+1)`-resilient consensus among `n`
+    /// processes, and the refutation fails `f + 1` of them and needs a
+    /// survivor, so `f + 1 < n`; the packed state holds at most
+    /// [`MAX_PROCESSES`].
+    fn candidate_size(&self, n_default: usize, f_default: usize) -> (usize, usize) {
+        let n = self.usize_or("n", n_default);
+        let f = self.usize_or("f", f_default);
+        if !(2..=MAX_PROCESSES).contains(&n) {
+            fail(&format!(
+                "--n must be between 2 and {MAX_PROCESSES}, got {n}"
+            ));
+        }
+        if f >= n - 1 {
+            fail(&format!(
+                "--f must be at most n - 2 = {} so that f + 1 failures leave a survivor, got {f}",
+                n - 2
+            ));
+        }
+        (n, f)
     }
 
     /// The exploration worker-thread count (`0` = auto).
@@ -207,15 +259,14 @@ fn die(msg: &str) -> ! {
 }
 
 fn witness_cmd(args: &Args) -> ExitCode {
-    let n = args.usize_or("n", 2);
-    let f = args.usize_or("f", 0);
+    let (n, f) = args.candidate_size(2, 0);
     let class = args.get("class").unwrap_or("atomic");
     let bounds = Bounds {
         threads: args.threads(),
         symmetry: args.symmetry(),
         ..Bounds::default()
     };
-    println!(
+    outln!(
         "candidate: class={class}, n={n}, f={f} — claiming ({})-resilient consensus",
         f + 1
     );
@@ -247,7 +298,7 @@ fn witness_cmd(args: &Args) -> ExitCode {
     };
     match headline {
         Ok(h) => {
-            println!("witness: {h}");
+            outln!("witness: {h}");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -268,11 +319,11 @@ fn certify_cmd(args: &Args) -> ExitCode {
             let mut inputs = all_assignments(n, &domain);
             if inputs.len() > 512 {
                 inputs.truncate(512);
-                println!("(input sweep truncated to 512 assignments)");
+                outln!("(input sweep truncated to 512 assignments)");
             }
             let mut cfg = CertifyConfig::new(k, n - 1, inputs);
             cfg.max_steps = 100_000;
-            println!("certifying {k}-set consensus at resilience {} …", n - 1);
+            outln!("certifying {k}-set consensus at resilience {} …", n - 1);
             certify(&sys, &cfg)
         }
         "fd-boost" => {
@@ -280,19 +331,19 @@ fn certify_cmd(args: &Args) -> ExitCode {
             let sys = protocols::fd_boost::build(n);
             let mut cfg = CertifyConfig::new(1, n - 1, all_binary_assignments(n));
             cfg.max_steps = 800_000;
-            println!("certifying consensus at resilience {} …", n - 1);
+            outln!("certifying consensus at resilience {} …", n - 1);
             certify(&sys, &cfg)
         }
         "tas" => {
             let sys = protocols::tas_consensus::build(1);
             let mut cfg = CertifyConfig::new(1, 1, all_binary_assignments(2));
             cfg.max_steps = 100_000;
-            println!("certifying 2-process consensus from wait-free test&set …");
+            outln!("certifying 2-process consensus from wait-free test&set …");
             certify(&sys, &cfg)
         }
         other => die(&format!("unknown construction {other:?}")),
     };
-    println!(
+    outln!(
         "{} runs, {} violations → {}",
         report.runs,
         report.violations.len(),
@@ -303,7 +354,7 @@ fn certify_cmd(args: &Args) -> ExitCode {
         }
     );
     if let Some(v) = report.violations.first() {
-        println!("first violation: {v:?}");
+        outln!("first violation: {v:?}");
     }
     if report.certified() {
         ExitCode::SUCCESS
@@ -313,8 +364,7 @@ fn certify_cmd(args: &Args) -> ExitCode {
 }
 
 fn hook_cmd(args: &Args) -> ExitCode {
-    let n = args.usize_or("n", 2);
-    let f = args.usize_or("f", 0);
+    let (n, f) = args.candidate_size(2, 0);
     let sys = protocols::doomed::doomed_atomic(n, f);
     let InitOutcome::Bivalent { assignment, map } =
         find_bivalent_init_sym(&sys, 2_000_000, args.threads(), args.symmetry())
@@ -322,13 +372,13 @@ fn hook_cmd(args: &Args) -> ExitCode {
     else {
         die("no bivalent initialization (try the witness command)")
     };
-    println!(
+    outln!(
         "bivalent initialization: {assignment} ({} states)",
         map.state_count()
     );
     match find_hook(&sys, &map, 20_000) {
         HookOutcome::Hook(hook) => {
-            println!(
+            outln!(
                 "hook: e={} e'={} v={:?} (α after {} tasks)",
                 hook.e,
                 hook.e_prime,
@@ -340,25 +390,24 @@ fn hook_cmd(args: &Args) -> ExitCode {
                 if let Err(e) = std::fs::write(path, dot) {
                     die(&format!("cannot write {path}: {e}"));
                 }
-                println!("wrote G(C) neighbourhood to {path} (render with: dot -Tsvg {path})");
+                outln!("wrote G(C) neighbourhood to {path} (render with: dot -Tsvg {path})");
             }
             ExitCode::SUCCESS
         }
         other => {
-            println!("no hook: {other:?}");
+            outln!("no hook: {other:?}");
             ExitCode::FAILURE
         }
     }
 }
 
 fn census_cmd(args: &Args) -> ExitCode {
-    let n = args.usize_or("n", 3);
-    let f = args.usize_or("f", 1);
+    let (n, f) = args.candidate_size(3, 1);
     let sys = protocols::doomed::doomed_atomic(n, f);
     match find_bivalent_init_sym(&sys, 2_000_000, args.threads(), args.symmetry()) {
         Ok(InitOutcome::Bivalent { assignment, map }) => {
-            println!("valence landscape of G(C) from {assignment}:");
-            println!("  {}", census(&map));
+            outln!("valence landscape of G(C) from {assignment}:");
+            outln!("  {}", census(&map));
             if let Some(group) = map.sym() {
                 let mut hist: std::collections::BTreeMap<u64, usize> =
                     std::collections::BTreeMap::new();
@@ -373,20 +422,20 @@ fn census_cmd(args: &Args) -> ExitCode {
                 } else {
                     format!("S_{}", group.n)
                 };
-                println!(
+                outln!(
                     "orbit sizes under {group_name}: {} representative(s) covering {mass} \
                      orbit state(s) ({:.2}× compression)",
                     map.state_count(),
                     mass as f64 / map.state_count() as f64,
                 );
                 for (k, c) in &hist {
-                    println!("  |orbit| = {k:>4}: {c} representative(s)");
+                    outln!("  |orbit| = {k:>4}: {c} representative(s)");
                 }
             }
             ExitCode::SUCCESS
         }
         Ok(other) => {
-            println!("no bivalent initialization: {other:?}");
+            outln!("no bivalent initialization: {other:?}");
             ExitCode::FAILURE
         }
         Err(e) => die(&e.to_string()),
@@ -412,15 +461,16 @@ fn check_on<P: ProcessAutomaton>(
     // Bad expressions and unknown atoms are user input, not pipeline
     // failures: report the parse error alone and exit 2 (unknown).
     let props = parse_props(expr, &vocab).unwrap_or_else(|e| fail(&e.to_string()));
-    println!(
+    outln!(
         "G(C) from {assignment}: {} states, {} properties",
         map.state_count(),
         props.len()
     );
     let report = evaluate_batch(&graph, &props);
-    println!(
+    outln!(
         "passes: {} forward, {} backward (fused)",
-        report.passes.forward, report.passes.backward
+        report.passes.forward,
+        report.passes.backward
     );
     let mut worst = Verdict::Holds;
     for (p, ev) in props.iter().zip(&report.results) {
@@ -429,9 +479,9 @@ fn check_on<P: ProcessAutomaton>(
             Verdict::Fails => "FAILS  ",
             Verdict::Unknown => "UNKNOWN",
         };
-        println!("{tag} {p}");
+        outln!("{tag} {p}");
         if let Some(reason) = &ev.reason {
-            println!("        ({reason})");
+            outln!("        ({reason})");
         }
         match &ev.witness {
             Some(Witness::Path(path)) => {
@@ -440,7 +490,7 @@ fn check_on<P: ProcessAutomaton>(
                 // to a concrete, replayable sequence (identity on full
                 // maps).
                 let (_, tasks) = graph.lift_path(path);
-                println!(
+                outln!(
                     "        path: {} states from the root, tasks: {}",
                     path.len(),
                     tasks
@@ -451,14 +501,14 @@ fn check_on<P: ProcessAutomaton>(
                 );
             }
             Some(Witness::Lasso { path, cycle_start }) => {
-                println!(
+                outln!(
                     "        lasso: {} states, cycle re-enters at step {}",
                     path.len(),
                     cycle_start
                 );
             }
             Some(Witness::Trace { offending, .. }) => {
-                println!("        offending trace action: {offending}");
+                outln!("        offending trace action: {offending}");
             }
             None => {}
         }
@@ -586,7 +636,7 @@ fn audit_cmd(args: &Args) -> ExitCode {
     };
     let mut worst = 0;
     for report in &reports {
-        print!("{report}");
+        emit(format_args!("{report}"));
         worst = worst.max(report.exit_code());
     }
     let (substrates, violations) = (
@@ -596,7 +646,7 @@ fn audit_cmd(args: &Args) -> ExitCode {
             .map(|r| r.violations().count())
             .sum::<usize>(),
     );
-    println!("audited {substrates} substrate(s): {violations} violation(s) → exit {worst}");
+    outln!("audited {substrates} substrate(s): {violations} violation(s) → exit {worst}");
     match worst {
         0 => ExitCode::SUCCESS,
         1 => ExitCode::FAILURE,
@@ -608,8 +658,7 @@ fn check_cmd(args: &Args) -> ExitCode {
     let Some(expr) = args.positional.first() else {
         die("check wants a property expression, e.g. repro check 'always(safe)' --class atomic")
     };
-    let n = args.usize_or("n", 2);
-    let f = args.usize_or("f", 0);
+    let (n, f) = args.candidate_size(2, 0);
     let ones = args.usize_or("ones", 1);
     if ones > n {
         die("--ones must be at most --n");

@@ -159,3 +159,66 @@ fn bad_frontier_value_gets_usage() {
     assert!(err.contains("--frontier"), "got: {err:?}");
     assert!(err.contains("usage:"), "got: {err:?}");
 }
+
+/// A rejected `--n`/`--f`: exit 2 with one clean `error:` line naming
+/// the flag, no usage dump and no panic.
+fn assert_rejected(args: &[&str], flag: &str) {
+    let out = repro(args);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err:?}");
+    assert!(err.starts_with("error: "), "{args:?}: {err:?}");
+    assert_eq!(err.lines().count(), 1, "{args:?}: one line, got {err:?}");
+    assert!(err.contains(flag), "{args:?}: {err:?}");
+    assert!(!err.contains("panicked"), "{args:?}: {err:?}");
+}
+
+#[test]
+fn zero_processes_are_rejected() {
+    assert_rejected(&["census", "--n", "0"], "--n");
+}
+
+#[test]
+fn more_processes_than_the_packed_mask_are_rejected() {
+    assert_rejected(&["census", "--n", "40"], "--n");
+}
+
+#[test]
+fn census_rejects_f_without_a_survivor() {
+    assert_rejected(&["census", "--n", "2", "--f", "5"], "--f");
+}
+
+#[test]
+fn witness_rejects_f_without_a_survivor() {
+    assert_rejected(&["witness", "--n", "2", "--f", "5"], "--f");
+}
+
+#[test]
+fn hook_and_check_validate_n_and_f_too() {
+    assert_rejected(&["hook", "--n", "1"], "--n");
+    assert_rejected(&["check", "always(safe)", "--n", "3", "--f", "2"], "--f");
+}
+
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // `witness` prints its candidate line before the pipeline runs and
+    // the verdict after, so closing the read end after the first line
+    // makes the second write hit a broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["witness", "--class", "registers", "--n", "3", "--f", "1"])
+        .env_remove("SYMMETRY")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("candidate:"), "got {first:?}");
+    let out = child.wait_with_output().expect("repro exits");
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{err:?}");
+    assert!(!err.contains("panicked"), "{err:?}");
+}
